@@ -105,12 +105,11 @@ class Database {
     /// groupings are recomputed from scratch at each read after a mutation
     /// (the ablation benchmarked by bench_groupings).
     bool incremental_groupings = true;
-    /// Keep stored derived subclasses/attributes/constraints fresh through
-    /// the live-view engine (live::LiveViewEngine) instead of manual
-    /// ReevaluateAll calls. The flag only records the intent — the engine is
-    /// attached by whoever owns the Workspace (the UI controller, a bench) —
-    /// and is persisted by store/ so a saved database reopens live.
-    bool live_views = false;
+    /// Stored derived subclasses/attributes/constraints are always kept
+    /// fresh by the live-view engine (live::LiveViewEngine), attached by
+    /// whoever owns the Workspace (the UI controller, the server). Not a
+    /// setting: a constant kept for readers of the former option.
+    static constexpr bool live_views = true;
   };
 
   Database();

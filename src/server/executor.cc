@@ -154,7 +154,7 @@ void Executor::RunTask(Task& task) {
       RecordLockWait(/*exclusive=*/false, t0);
       PostLockFn after = task.fn();
       if (after) post.push_back(std::move(after));
-      DrainBatchLocked(TaskMode::kShared, options_.shared_batch, &post);
+      DrainBatchLocked(TaskMode::kShared, kSharedBatch, &post);
       break;
     }
     case TaskMode::kExclusive: {
@@ -162,7 +162,7 @@ void Executor::RunTask(Task& task) {
       RecordLockWait(/*exclusive=*/true, t0);
       PostLockFn after = task.fn();
       if (after) post.push_back(std::move(after));
-      DrainBatchLocked(TaskMode::kExclusive, options_.exclusive_batch, &post);
+      DrainBatchLocked(TaskMode::kExclusive, kExclusiveBatch, &post);
       break;
     }
     case TaskMode::kNone: {

@@ -23,18 +23,18 @@
 ///      the database lock. Serving a request nobody is waiting for anymore
 ///      would only lengthen the queue behind it.
 ///   5. Shared batching: when a worker finishes a kShared task it keeps its
-///      reader hold open and drains up to `shared_batch - 1` more kShared
+///      reader hold open and drains up to `kSharedBatch - 1` more kShared
 ///      head-of-lane tasks from *other* ready lanes before releasing. With
 ///      the result cache a read is microseconds, so the RwMutex
 ///      acquire/release pair dominates; batching amortizes it across
 ///      several reads. Lane order (rule 1) is preserved -- only head tasks
 ///      are taken, one per lane at a time. A waiting writer can be passed
-///      by at most `shared_batch - 1` reads per hold, a bounded and
+///      by at most `kSharedBatch - 1` reads per hold, a bounded and
 ///      deliberate trade; the RwMutex's writer preference still blocks
 ///      fresh reader *acquisitions* behind it.
 ///   6. Exclusive batching + post-lock continuations: symmetric to rule 5,
-///      a worker holding the *writer* lock drains up to `exclusive_batch -
-///      1` more kExclusive head-of-lane tasks before releasing, so one
+///      a worker holding the *writer* lock drains up to `kExclusiveBatch
+///      - 1` more kExclusive head-of-lane tasks before releasing, so one
 ///      writer acquisition covers several sessions' mutations. A task body
 ///      may return a continuation, which the worker runs only AFTER the
 ///      database lock is released -- that is where a durable write waits on
@@ -98,13 +98,13 @@ class Executor {
   struct Options {
     int threads = 4;
     int queue_capacity = 64;  ///< Per-lane task bound; beyond this, shed.
-    /// Max kShared tasks run under one reader hold (rule 5); 1 disables
-    /// batching.
-    int shared_batch = 8;
-    /// Max kExclusive tasks run under one writer hold (rule 6); 1 disables
-    /// batching.
-    int exclusive_batch = 8;
   };
+
+  /// Max kShared tasks run under one reader hold (rule 5).
+  static constexpr int kSharedBatch = 8;
+  /// Max kExclusive tasks run under one writer hold (rule 6); they then
+  /// commit as one WAL group.
+  static constexpr int kExclusiveBatch = 8;
 
   /// `stats` may be null (tests); if set, queue depth and lock-wait times
   /// are recorded there.

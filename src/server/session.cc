@@ -114,16 +114,15 @@ Result<std::unique_ptr<Server>> Server::Open(
     server->committer_ =
         std::make_unique<store::GroupCommitter>(server->wal_.get(), gc);
   }
-  if (server->ws_->db().options().live_views) {
+  // InitDurable attaches the engine itself when it recovers a log.
+  if (server->live_ == nullptr) {
     server->live_ = std::make_unique<live::LiveViewEngine>(server->ws_.get());
   }
   server->deltas_.Attach(&server->ws_->db());
   server->ws_->db().AddObserver(&server->deltas_);
   if (options.result_cache) {
-    query::ResultCache::Options copts;
-    copts.capacity = options.result_cache_capacity;
-    server->cache_ =
-        std::make_unique<query::ResultCache>(&server->ws_->db(), copts);
+    server->cache_ = std::make_unique<query::ResultCache>(
+        &server->ws_->db(), query::ResultCache::Options{});
   }
   // From here on reads run concurrently: freeze interning (see the
   // "Concurrency" section of sdm/database.h). Exclusive tasks unfreeze
@@ -132,7 +131,6 @@ Result<std::unique_ptr<Server>> Server::Open(
   Executor::Options exec_options;
   exec_options.threads = options.threads;
   exec_options.queue_capacity = options.queue_capacity;
-  exec_options.exclusive_batch = options.exclusive_batch;
   server->executor_ =
       std::make_unique<Executor>(exec_options, &server->stats_);
   return server;
@@ -163,6 +161,9 @@ Status Server::InitDurable() {
         store::Load(records.front().payload);
     ISIS_RETURN_NOT_OK(loaded.status());
     ws_ = std::move(loaded).ValueOrDie();
+    // The one engine attaches to the final workspace before the replay, so
+    // replayed writes are maintained by deltas exactly as they were live.
+    live_ = std::make_unique<live::LiveViewEngine>(ws_.get());
     // Replay through the same dispatch path that produced the log, one
     // replay controller per original session (their prompt state machines
     // are independent).
@@ -170,6 +171,7 @@ Status Server::InitDurable() {
     for (std::size_t i = 1; i < records.size(); ++i) {
       ISIS_RETURN_NOT_OK(ReplayRecord(records[i], &ctrls));
     }
+    live_->ClearLastError();  // Reported to the clients before the crash.
     ISIS_RETURN_NOT_OK(ws_->db().schema().Validate());
   }
   // Fresh log on the current state -- also the torn-tail repair (the WAL
@@ -202,15 +204,11 @@ Status Server::ReplayRecord(
     ISIS_RETURN_NOT_OK(ev.status());
     std::unique_ptr<ui::SessionController>& ctrl = (*ctrls)[sid];
     if (ctrl == nullptr) {
-      ctrl = std::make_unique<ui::SessionController>(ws_.get(), nullptr);
+      ctrl = std::make_unique<ui::SessionController>(ws_.get(), live_.get());
     }
     return ctrl->HandleEvent(*ev);
   }
-  if (rec.type == "assign") {
-    Status st = ApplyAssign(SplitFields(rec.payload));
-    if (!st.ok()) return st;
-    return ws_->ReevaluateAll();
-  }
+  if (rec.type == "assign") return ApplyAssign(SplitFields(rec.payload));
   if (rec.type == "note") return Status::OK();  // Journal only.
   return Status::ParseError("unknown server WAL record type: " + rec.type);
 }
@@ -743,11 +741,13 @@ Frame Server::DoAssign(const Frame& req, bool* log_wal) {
   Status st = ApplyAssign(SplitFields(req.payload));
   if (!st.ok()) return ErrorFrame(req, st);
   if (log_wal != nullptr) *log_wal = true;  // Committed by the caller.
-  if (live_ == nullptr) {
-    // No live engine: stored derived views go stale on mutation, so bring
-    // them up to date before anyone reads (same rule as RefreshDerived).
-    Status rs = ws_->ReevaluateAll();
-    if (!rs.ok()) return ErrorFrame(req, rs);
+  // The engine maintained the derived views as the write settled; a failed
+  // fixpoint (a cyclic derivation) is this request's error, though the
+  // write itself stands and is logged.
+  if (!live_->last_error().ok()) {
+    Status rs = live_->last_error();
+    live_->ClearLastError();
+    return ErrorFrame(req, rs);
   }
   Frame resp;
   resp.type = MsgType::kOk;

@@ -83,7 +83,6 @@ struct ServerOptions {
   /// mutation delta stream. Results are identical either way (property-
   /// tested in result_cache_test.cpp); off is only for A/B benching.
   bool result_cache = true;
-  int result_cache_capacity = 1024;
   /// Non-empty: run durable -- WAL in this directory (must exist), recovery
   /// on open, checkpoint on shutdown.
   std::string durable_dir;
@@ -94,9 +93,6 @@ struct ServerOptions {
   /// Replies imply durability under the first two. Ignored when not
   /// durable.
   store::WalSyncPolicy wal_sync = store::WalSyncPolicy::kGroup;
-  /// Mutations one worker runs under a single writer-lock hold
-  /// (executor.h, rule 6); they then commit as one WAL group.
-  int exclusive_batch = 8;
   store::FileEnv* env = nullptr;  ///< nullptr = store::FileEnv::Default().
 };
 
@@ -251,7 +247,9 @@ class Server {
 
   const ServerOptions options_;
   std::unique_ptr<query::Workspace> ws_;
-  std::unique_ptr<live::LiveViewEngine> live_;  ///< Iff db options.live_views.
+  /// The one maintainer of ws_'s derived views. Declared after ws_ so it is
+  /// destroyed first (it observes ws_'s database).
+  std::unique_ptr<live::LiveViewEngine> live_;
   /// Declared after ws_ so it is destroyed first (its destructor
   /// deregisters from the database). Null when options_.result_cache is off.
   std::unique_ptr<query::ResultCache> cache_;

@@ -185,7 +185,7 @@ std::string Save(const Workspace& ws) {
   out << "name|" << Escape(ws.name()) << "\n";
   out << "options|" << (db.options().incremental_groupings ? 1 : 0) << "|"
       << (schema.options().allow_multiple_parents ? 1 : 0) << "|"
-      << (db.options().live_views ? 1 : 0) << "\n";
+      << "1\n";  // The former live_views flag (serializer.h).
 
   for (ClassId c : schema.AllClasses()) {
     if (c.value() < 4) continue;  // predefined classes are deterministic
@@ -391,8 +391,7 @@ Status LoadInto(const std::string& text, Workspace* ws_out,
     } else if (f[0] == "options" && (f.size() == 3 || f.size() == 4)) {
       options.incremental_groupings = f[1] == "1";
       options.schema.allow_multiple_parents = f[2] == "1";
-      // Field added later; files saved before it default to off.
-      options.live_views = f.size() >= 4 && f[3] == "1";
+      // A fourth field (the former live_views flag, 0 or 1) is ignored.
     } else {
       break;
     }

@@ -14,7 +14,7 @@
 ///
 ///   ISIS|2
 ///   name|Instrumental_Music
-///   options|incremental_groupings|allow_multiple_parents|live_views
+///   options|incremental_groupings|allow_multiple_parents|1   (see below)
 ///   class|id|name|membership|base_kind|fill|parents|own_attrs
 ///   attr|id|name|owner|value_class|grouping|multi|naming|origin
 ///   grouping|id|name|parent|attr|fill
@@ -33,6 +33,9 @@
 /// checkpoint is rejected at load with an error naming the offending line;
 /// nothing may follow the trailer. Version 1 files (no checksums, bare
 /// `end` marker) still load.
+///
+/// The last `options` field, the former live_views flag, is written as 1 and
+/// ignored on load: files carrying 0 or 1 both load, with views maintained.
 ///
 /// Ids are preserved exactly (deletion gaps become dead slots on load), so
 /// stored predicates' constant sets and map paths stay valid.

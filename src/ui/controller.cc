@@ -31,8 +31,9 @@ using sdm::Membership;
 using sdm::Schema;
 
 SessionController::SessionController(std::unique_ptr<query::Workspace> ws)
-    : owned_ws_(std::move(ws)), ws_(owned_ws_.get()) {
-  AttachLiveEngine();
+    : owned_ws_(std::move(ws)),
+      ws_(owned_ws_.get()),
+      live_(std::make_unique<live::LiveViewEngine>(ws_)) {
   Say("database '" + ws_->name() + "' loaded; pick an object to focus on");
 }
 
@@ -42,19 +43,12 @@ SessionController::SessionController(query::Workspace* shared_ws,
   Say("database '" + ws_->name() + "' shared; pick an object to focus on");
 }
 
-void SessionController::AttachLiveEngine() {
-  live_.reset();
-  if (shared_mode_) return;  // The server owns the (one) engine.
-  if (ws_->db().options().live_views) {
-    live_ = std::make_unique<live::LiveViewEngine>(ws_);
-  }
-}
-
-void SessionController::RefreshDerived() {
-  // Already maintained incrementally by an attached or shared engine.
-  if (live_ != nullptr || shared_live_ != nullptr) return;
-  Status st = ws_->ReevaluateAll();
-  if (!st.ok()) Say(message_ + " [" + st.ToString() + "]");
+void SessionController::ReplaceWorkspace(
+    std::unique_ptr<query::Workspace> ws) {
+  live_.reset();  // Observes the old database; must go before it.
+  owned_ws_ = std::move(ws);
+  ws_ = owned_ws_.get();
+  live_ = std::make_unique<live::LiveViewEngine>(ws_);
 }
 
 const Screen& SessionController::Render() {
@@ -79,6 +73,14 @@ void SessionController::Journal(const std::string& action,
 Status SessionController::HandleEvent(const Event& event) {
   wal_event_logged_ = false;
   Status st = Dispatch(event);
+  // The engine maintained the derived views as the event's mutations
+  // settled; a failed fixpoint (a cyclic derivation) is reported once, in
+  // the message line, without failing the event that caused it.
+  live::LiveViewEngine* engine = live_ != nullptr ? live_.get() : shared_live_;
+  if (engine != nullptr && !engine->last_error().ok()) {
+    Say(message_ + " [" + engine->last_error().ToString() + "]");
+    engine->ClearLastError();
+  }
   // Write-ahead in effect: the event only becomes durable once it has
   // succeeded in memory, and the next event is not accepted before the
   // append (Append fsyncs). Failed events are not logged — replay must
@@ -285,6 +287,7 @@ Result<std::unique_ptr<SessionController>> SessionController::OpenDurable(
     }
   }
   session->wal_replaying_ = false;
+  session->live_->ClearLastError();  // Reported before the crash.
 
   // The log only ever holds events that succeeded against a consistent
   // workspace, but recovery trusts nothing: re-validate the whole result.
@@ -390,7 +393,6 @@ Status SessionController::PickClass(const std::string& name) {
     Say("value class of '" +
         schema.GetAttribute(state_.selection.attribute).name + "' is now '" +
         name + "'");
-    RefreshDerived();  // Scrubbed values can change derived views.
     screen_valid_ = false;
     return Status::OK();
   }
@@ -410,7 +412,6 @@ Status SessionController::PickClass(const std::string& name) {
             schema.GetClass(state_.selection.cls).name + " <- " + name);
     Say("'" + name + "' is now an additional parent of '" +
         schema.GetClass(state_.selection.cls).name + "'");
-    RefreshDerived();
     screen_valid_ = false;
     return Status::OK();
   }
@@ -1112,7 +1113,6 @@ Status SessionController::CmdDelete() {
   state_.selection = SchemaSelection::None();
   Journal("delete", what);
   Say("deleted " + what);
-  RefreshDerived();  // Scrubbed references can change remaining views.
   return Status::OK();
 }
 
@@ -1167,7 +1167,6 @@ Status SessionController::CmdAssignAttrValue() {
               " entit(ies)");
   Say("assigned '" + def.name + "' for " +
       std::to_string(source.selected.size()) + " entit(ies)");
-  RefreshDerived();
   return Status::OK();
 }
 
@@ -1214,7 +1213,6 @@ Status SessionController::CmdDeleteEntity() {
   }
   Journal("delete entity", std::to_string(doomed.size()) + " entit(ies)");
   Say("deleted " + std::to_string(doomed.size()) + " entit(ies)");
-  RefreshDerived();
   return Status::OK();
 }
 
@@ -1501,7 +1499,10 @@ void SessionController::PushUndoSnapshot() {
     redo_.clear();
     return;
   }
+  // Undo and redo only move snapshots between the two stacks, and this
+  // clears redo_, so undo_ never grows past the bound elsewhere.
   undo_.push_back(store::Save(*ws_));
+  if (undo_.size() > kMaxUndoDepth) undo_.pop_front();
   redo_.clear();
 }
 
@@ -1515,10 +1516,7 @@ Status SessionController::CmdUndo() {
   if (!restored.ok()) return Fail(restored.status());
   redo_.push_back(store::Save(*ws_));
   undo_.pop_back();
-  live_.reset();  // Observes the old database; must go before ws_.
-  owned_ws_ = std::move(restored).ValueOrDie();
-  ws_ = owned_ws_.get();
-  AttachLiveEngine();
+  ReplaceWorkspace(std::move(restored).ValueOrDie());
   // Selections and pages may refer to objects that no longer exist.
   const Schema& schema = ws_->db().schema();
   if ((state_.selection.kind == SchemaSelection::Kind::kClass &&
@@ -1560,10 +1558,7 @@ Status SessionController::CmdRedo() {
   if (!restored.ok()) return Fail(restored.status());
   undo_.push_back(store::Save(*ws_));
   redo_.pop_back();
-  live_.reset();  // Observes the old database; must go before ws_.
-  owned_ws_ = std::move(restored).ValueOrDie();
-  ws_ = owned_ws_.get();
-  AttachLiveEngine();
+  ReplaceWorkspace(std::move(restored).ValueOrDie());
   Journal("redo", "");
   Say("redone");
   return Status::OK();
@@ -1660,7 +1655,6 @@ Status SessionController::HandleText(const std::string& text) {
                     " member(s))");
         Say("user-defined subclass '" + text + "' created with " +
             std::to_string(source.selected.size()) + " member(s)");
-        RefreshDerived();
         return Status::OK();
       }
       Result<ClassId> cls = ws_->db().CreateSubclass(
@@ -1727,7 +1721,6 @@ Status SessionController::HandleText(const std::string& text) {
               text + " in " + schema.GetClass(top->cls).name);
       Say("entity '" + text + "' created in '" +
           schema.GetClass(top->cls).name + "'");
-      RefreshDerived();
       return Status::OK();
     }
     case Prompt::kRename: {
@@ -1784,10 +1777,7 @@ Status SessionController::HandleText(const std::string& text) {
         WalAppendNote("load FAILED", text + ": " + loaded.status().ToString());
         return Fail(loaded.status());
       }
-      live_.reset();  // Observes the old database; must go before ws_.
-      owned_ws_ = std::move(loaded).ValueOrDie();
-      ws_ = owned_ws_.get();
-      AttachLiveEngine();
+      ReplaceWorkspace(std::move(loaded).ValueOrDie());
       // A fresh database: selections, pages and undo history reset; the
       // session journal keeps running (the load is itself design history).
       state_ = SessionState{};

@@ -13,11 +13,12 @@
 ///
 /// Undo/redo snapshot the entire workspace through the store serializer —
 /// every command that mutates the database is undoable, matching the
-/// editing menu of the paper's forest view.
+/// editing menu of the paper's forest view — up to kMaxUndoDepth levels.
 
 #ifndef ISIS_UI_CONTROLLER_H_
 #define ISIS_UI_CONTROLLER_H_
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,8 +49,13 @@ struct DurabilityConfig {
 /// \brief Owns a Workspace and a SessionState and interprets events.
 class SessionController {
  public:
+  /// Snapshots kept for undo; pushing past this drops the oldest one. A
+  /// snapshot is a full store::Save (about 130 KB at scaled_music scale 64).
+  static constexpr std::size_t kMaxUndoDepth = 64;
+
   /// Starts a session over `ws` (takes ownership) at the inheritance forest
-  /// with no schema selection, as on database load.
+  /// with no schema selection, as on database load. Attaches a live-view
+  /// engine that keeps `ws`'s derived views fresh.
   explicit SessionController(std::unique_ptr<query::Workspace> ws);
 
   /// Starts a *shared* session over a workspace owned by someone else (the
@@ -57,8 +63,9 @@ class SessionController {
   /// (selection, pages, worksheet, prompts) while schema and data live in
   /// `*shared_ws`, visible to every session sharing it. Commands that would
   /// replace or snapshot the whole workspace — undo, redo, load — return
-  /// Unimplemented, and the controller never attaches its own live engine
-  /// (pass the server's in `shared_live`, or null). The caller is
+  /// Unimplemented, and the controller never attaches its own live engine:
+  /// pass the one engine attached to `shared_ws` in `shared_live`, or null
+  /// when the caller maintains derived views itself. The caller is
   /// responsible for serializing mutations across sessions; `shared_ws`
   /// must outlive the controller.
   SessionController(query::Workspace* shared_ws,
@@ -116,8 +123,8 @@ class SessionController {
   /// back by undo (the undo itself is recorded).
   const DesignJournal& journal() const { return journal_; }
 
-  /// The live-view engine, if the database was opened with
-  /// Options::live_views (nullptr otherwise). For tests and status display.
+  /// The engine this controller owns (nullptr in shared mode). For tests
+  /// and status display.
   const live::LiveViewEngine* live_engine() const { return live_.get(); }
 
  private:
@@ -198,14 +205,9 @@ class SessionController {
   void BeginTempVisit(TempVisit kind, Level target_level);
   void EndTempVisit();
   void PushUndoSnapshot();
-  /// Attaches a LiveViewEngine when the workspace opted in
-  /// (Options::live_views); called on construction and whenever ws_ is
-  /// replaced (undo, redo, load).
-  void AttachLiveEngine();
-  /// Brings derived subclasses/attributes up to date after a data edit:
-  /// a no-op with the live engine attached (it already maintained them),
-  /// otherwise a full ReevaluateAll.
-  void RefreshDerived();
+  /// Takes ownership of `ws` in place of the current workspace (undo, redo,
+  /// load) and attaches a fresh engine to it.
+  void ReplaceWorkspace(std::unique_ptr<query::Workspace> ws);
   Status Fail(const Status& st);
   void Say(const std::string& msg);
   /// Records a successful design action in the journal.
@@ -218,15 +220,14 @@ class SessionController {
   /// Declared after owned_ws_ so it is destroyed first (it unregisters its
   /// observer from ws_'s database).
   std::unique_ptr<live::LiveViewEngine> live_;
-  /// The server's engine in shared mode (not owned); makes RefreshDerived a
-  /// no-op just like an owned engine would.
+  /// The caller's engine in shared mode (not owned; may be null).
   live::LiveViewEngine* shared_live_ = nullptr;
   bool shared_mode_ = false;
   SessionState state_;
   std::string message_;
   Screen screen_;
   bool screen_valid_ = false;
-  std::vector<std::string> undo_;
+  std::deque<std::string> undo_;  ///< At most kMaxUndoDepth snapshots.
   std::vector<std::string> redo_;
   DesignJournal journal_;
 

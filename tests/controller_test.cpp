@@ -7,8 +7,12 @@
 
 #include <fstream>
 
+#include "common/strings.h"
 #include "datasets/instrumental_music.h"
+#include "query/parser.h"
 #include "sdm/consistency.h"
+#include "store/crc32.h"
+#include "store/serializer.h"
 #include "ui/controller.h"
 
 namespace isis::ui {
@@ -541,20 +545,23 @@ TEST_F(ControllerTest, RedoClearedByNewMutation) {
   EXPECT_TRUE(Run("cmd redo\n").IsInvalidArgument());
 }
 
-// Regression: with the live engine off, a data edit must still refresh the
-// stored derived views before the next render (the controller re-runs
-// ReevaluateAll itself). Ray gains a stringed instrument and must show up in
-// the derived play_strings subclass with no explicit recomputation.
-TEST_F(ControllerTest, DataEditsRefreshDerivedViewsWithoutEngine) {
-  EXPECT_EQ(session_.live_engine(), nullptr);  // default options: engine off
-  ASSERT_TRUE(Run("pick class:musicians\n"
-                  "cmd view contents\n"
-                  "pick member:Ray\n"
-                  "cmd follow\n"
-                  "pick attr:plays\n"
-                  "pick member:violin\n"
-                  "cmd (re)assign att. value\n")
-                  .ok());
+// Ray gains violin: follow his plays, select violin beside his instruments,
+// assign. A second run of the last two events drops it again.
+constexpr char kGiveRayViolin[] =
+    "pick class:musicians\n"
+    "cmd view contents\n"
+    "pick member:Ray\n"
+    "cmd follow\n"
+    "pick attr:plays\n"
+    "pick member:violin\n"
+    "cmd (re)assign att. value\n";
+
+// A data edit refreshes the stored derived views before the next render,
+// through the engine the controller always attaches: Ray gains a stringed
+// instrument and must show up in the derived play_strings subclass.
+TEST_F(ControllerTest, DataEditsRefreshDerivedViews) {
+  ASSERT_NE(session_.live_engine(), nullptr);
+  ASSERT_TRUE(Run(kGiveRayViolin).ok());
   const sdm::Schema& s = db().schema();
   ClassId musicians = *s.FindClass("musicians");
   ClassId play_strings = *s.FindClass("play_strings");
@@ -565,15 +572,105 @@ TEST_F(ControllerTest, DataEditsRefreshDerivedViewsWithoutEngine) {
                   "cmd (re)assign att. value\n")
                   .ok());
   EXPECT_FALSE(db().IsMember(ray, play_strings));
+  // Undo swaps in a restored workspace, and its new engine keeps it fresh:
+  // assigning the still-selected instruments (violin not among them) again
+  // removes him once more.
+  ASSERT_TRUE(Run("cmd undo\n").ok());
+  EXPECT_TRUE(db().IsMember(ray, play_strings));
+  ASSERT_TRUE(Run("cmd (re)assign att. value\n").ok());
+  EXPECT_FALSE(db().IsMember(ray, play_strings));
 }
 
-// When the database opted into live views, the controller attaches the
-// engine and data edits are maintained by deltas instead of ReevaluateAll.
-TEST(ControllerLiveViewsTest, EngineAttachesWhenOptedIn) {
-  sdm::Database::Options opt;
-  opt.live_views = true;
-  SessionController session(std::make_unique<query::Workspace>(opt));
-  EXPECT_NE(session.live_engine(), nullptr);
+// Past kMaxUndoDepth the oldest snapshot goes; the most recent states are
+// still restored in order.
+TEST_F(ControllerTest, UndoStackIsBounded) {
+  const int depth = static_cast<int>(SessionController::kMaxUndoDepth);
+  const int renames = depth + 6;
+  std::string current = "soloists";
+  for (int i = 0; i < renames; ++i) {
+    const std::string next = "stars" + std::to_string(i);
+    ASSERT_TRUE(Run("pick class:" + current + "\ncmd (re)name\ntype " +
+                    next + "\n")
+                    .ok());
+    current = next;
+  }
+  EXPECT_EQ(session_.undo_depth(), SessionController::kMaxUndoDepth);
+  for (int undone = 1; undone <= depth; ++undone) {
+    ASSERT_TRUE(Run("cmd undo\n").ok());
+    const std::string expected = "stars" + std::to_string(renames - 1 - undone);
+    EXPECT_TRUE(db().schema().FindClass(expected).ok()) << expected;
+  }
+  // The six oldest states are gone.
+  EXPECT_EQ(session_.undo_depth(), 0u);
+  EXPECT_TRUE(Run("cmd undo\n").IsInvalidArgument());
+  EXPECT_TRUE(db().schema().FindClass("stars5").ok());
+}
+
+// A cyclic ("liar") derivation that a data edit sets oscillating: the
+// engine's Consistency error reaches the message line once, and the edit
+// itself stands.
+TEST(ControllerLiveViewsTest, CyclicDerivationErrorReachesTheMessageLine) {
+  std::unique_ptr<query::Workspace> ws = BuildInstrumentalMusic();
+  sdm::Database& db = ws->db();
+  ClassId musicians = *db.schema().FindClass("musicians");
+  ClassId liars =
+      *db.CreateSubclass("liars", musicians, sdm::Membership::kEnumerated);
+  Result<query::Predicate> liar = query::ParsePredicate(
+      db, musicians, "e.plays ]= {violin} and e not[= liars");
+  ASSERT_TRUE(liar.ok()) << liar.status().ToString();
+  ASSERT_TRUE(ws->DefineSubclassMembership(liars, *liar).ok());
+  SessionController session(std::move(ws));
+  ASSERT_TRUE(session.RunScript(kGiveRayViolin).ok());
+  EXPECT_NE(session.message().find("Consistency"), std::string::npos)
+      << session.message();
+  EXPECT_TRUE(session.live_engine()->last_error().ok());
+  const sdm::Database& now = session.workspace().db();
+  EntityId ray = *now.FindEntity(musicians, "Ray");
+  EntityId violin =
+      *now.FindEntity(*now.schema().FindClass("instruments"), "violin");
+  AttributeId plays = *now.schema().FindAttribute(musicians, "plays");
+  EXPECT_EQ(now.GetMulti(ray, plays).count(violin), 1u);
+  ASSERT_TRUE(session.RunScript("cmd pop\n").ok());
+  EXPECT_EQ(session.message().find("Consistency"), std::string::npos)
+      << session.message();
+}
+
+// A checkpoint as builds with a live_views option wrote it: the options
+// line's last field set to `flag`, every line and the trailer resealed
+// (store/serializer.h).
+std::string WithLegacyLiveViewsFlag(const std::string& blob, char flag) {
+  std::vector<std::string> lines = Split(blob, '\n');
+  lines.pop_back();  // Split leaves one empty element after the last '\n'.
+  std::string out = lines.front() + "\n";
+  std::uint32_t body_crc = 0;
+  for (size_t i = 1; i + 1 < lines.size(); ++i) {
+    std::string payload = lines[i].substr(0, lines[i].rfind('|'));
+    if (StartsWith(payload, "options|")) payload.back() = flag;
+    out += payload + "|" + store::Crc32Hex(store::Crc32(payload)) + "\n";
+    body_crc = store::Crc32("\n", store::Crc32(payload, body_crc));
+  }
+  const std::string trailer = "end|" + std::to_string(lines.size() - 2) +
+                              "|" + store::Crc32Hex(body_crc);
+  return out + trailer + "|" + store::Crc32Hex(store::Crc32(trailer)) + "\n";
+}
+
+// Files saved with the former live_views flag off (0) or on (1) both load,
+// and the controller keeps their derived views maintained either way.
+TEST(ControllerLiveViewsTest, LegacyLiveViewsFlagLoadsMaintainedEitherWay) {
+  const std::string blob = store::Save(*BuildInstrumentalMusic());
+  for (char flag : {'0', '1'}) {
+    const std::string legacy = WithLegacyLiveViewsFlag(blob, flag);
+    // Saves still write 1, so resealing with 1 reproduces the bytes.
+    EXPECT_EQ(legacy == blob, flag == '1');
+    Result<std::unique_ptr<query::Workspace>> loaded = store::Load(legacy);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    SessionController session(std::move(loaded).ValueOrDie());
+    ASSERT_TRUE(session.RunScript(kGiveRayViolin).ok());
+    const sdm::Database& db = session.workspace().db();
+    EntityId ray = *db.FindEntity(*db.schema().FindClass("musicians"), "Ray");
+    EXPECT_TRUE(db.IsMember(ray, *db.schema().FindClass("play_strings")))
+        << "flag " << flag;
+  }
 }
 
 }  // namespace

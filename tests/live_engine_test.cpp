@@ -321,23 +321,5 @@ TEST(LiveEngineTest, ConstraintViolationsTrackMutations) {
   EXPECT_EQ(violations[0].violators, EntitySet{duo});
 }
 
-// --- The opt-in flag persists through the store. ---
-
-TEST(LiveEngineTest, LiveViewsOptionRoundTripsThroughStore) {
-  sdm::Database::Options opt;
-  opt.live_views = true;
-  Workspace ws(opt);
-  auto loaded = store::Load(store::Save(ws));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE((*loaded)->db().options().live_views);
-  // Legacy files without the field load with the engine off.
-  sdm::Database::Options off;
-  Workspace ws_off(off);
-  EXPECT_FALSE(store::Load(store::Save(ws_off)).ValueOrDie()
-                   ->db()
-                   .options()
-                   .live_views);
-}
-
 }  // namespace
 }  // namespace isis
