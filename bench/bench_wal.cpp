@@ -14,9 +14,10 @@
 ///   2. `wal_commit` -- T committer threads (T in 1/4/8) each running
 ///      `Commit(type, payload)` loops through one shared GroupCommitter,
 ///      per policy (per_commit/group/none). Under per_commit every record
-///      fsyncs; under group concurrent committers form leader/follower
-///      batches and records/sec rises with T while syncs_per_record falls
-///      below 1; none is the no-durability ceiling. This is the executor's
+///      fsyncs; under group the log thread batches whatever concurrent
+///      committers queued during its last fsync, so records/sec rises
+///      with T while syncs_per_record falls below 1; none is the
+///      no-durability ceiling. This is the executor's
 ///      write path with the server stripped away: pure committer
 ///      mechanics.
 ///

@@ -115,11 +115,9 @@ void Executor::FinishLane(const std::shared_ptr<Lane>& lane,
   if (closed_ && in_flight_ == 0 && ready_.empty()) work_cv_.NotifyAll();
 }
 
-void Executor::DrainBatchLocked(TaskMode mode, int batch,
-                                std::vector<PostLockFn>* post) {
+void Executor::DrainBatchLocked(TaskMode mode, int batch) {
   // Rules 5 and 6: the hold is already paid for -- drain more same-mode
-  // work under it before releasing. Continuations must NOT run here (the
-  // lock is still held); they accumulate in `post` for the caller.
+  // work under it before releasing.
   for (int extra = 1; extra < batch; ++extra) {
     Task next;
     std::shared_ptr<Lane> lane;
@@ -134,8 +132,7 @@ void Executor::DrainBatchLocked(TaskMode mode, int batch,
     } else {
       // A batched task waited zero time for the lock by construction.
       if (stats_) stats_->RecordDispatch(mode == TaskMode::kExclusive, 0);
-      PostLockFn after = next.fn();
-      if (after) post->push_back(std::move(after));
+      next.fn();
     }
     FinishLane(lane, lane_id);
   }
@@ -143,38 +140,25 @@ void Executor::DrainBatchLocked(TaskMode mode, int batch,
 
 void Executor::RunTask(Task& task) {
   auto t0 = std::chrono::steady_clock::now();
-  // Deferred work from the whole batch, run strictly after the lock hold
-  // below closes. Enqueue order is preserved: for durable mutations that
-  // means commit tickets are awaited in WAL order, though any order would
-  // be correct -- each ticket waits only on its own record.
-  std::vector<PostLockFn> post;
   switch (task.mode) {
     case TaskMode::kShared: {
       ReaderLock db(db_lock_);
       RecordLockWait(/*exclusive=*/false, t0);
-      PostLockFn after = task.fn();
-      if (after) post.push_back(std::move(after));
-      DrainBatchLocked(TaskMode::kShared, kSharedBatch, &post);
+      task.fn();
+      DrainBatchLocked(TaskMode::kShared, kSharedBatch);
       break;
     }
     case TaskMode::kExclusive: {
       WriterLock db(db_lock_);
       RecordLockWait(/*exclusive=*/true, t0);
-      PostLockFn after = task.fn();
-      if (after) post.push_back(std::move(after));
-      DrainBatchLocked(TaskMode::kExclusive, kExclusiveBatch, &post);
+      task.fn();
+      DrainBatchLocked(TaskMode::kExclusive, kExclusiveBatch);
       break;
     }
-    case TaskMode::kNone: {
-      PostLockFn after = task.fn();
-      if (after) post.push_back(std::move(after));
+    case TaskMode::kNone:
+      task.fn();
       break;
-    }
   }
-  // The lock is released; now the batch's deferred work (group-commit
-  // waits, replies that imply durability) may block without serializing
-  // other workers' database access.
-  for (PostLockFn& fn : post) fn();
 }
 
 void Executor::WorkerLoop() {

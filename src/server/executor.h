@@ -4,7 +4,7 @@
 /// The executor is the server's concurrency layer. Work arrives as tasks on
 /// *lanes* (one lane per client session); each task declares whether it
 /// needs the database shared (reads: query, explain, render, stats) or
-/// exclusive (mutations: events, assigns). Three rules govern dispatch:
+/// exclusive (mutations: events, assigns). These rules govern dispatch:
 ///
 ///   1. Lane order: tasks on one lane run in submission order, at most one
 ///      in flight -- a session is serial, the server is parallel.
@@ -32,19 +32,16 @@
 ///      by at most `kSharedBatch - 1` reads per hold, a bounded and
 ///      deliberate trade; the RwMutex's writer preference still blocks
 ///      fresh reader *acquisitions* behind it.
-///   6. Exclusive batching + post-lock continuations: symmetric to rule 5,
-///      a worker holding the *writer* lock drains up to `kExclusiveBatch
-///      - 1` more kExclusive head-of-lane tasks before releasing, so one
-///      writer acquisition covers several sessions' mutations. A task body
-///      may return a continuation, which the worker runs only AFTER the
-///      database lock is released -- that is where a durable write waits on
-///      its group-commit ticket (store/group_commit.h), so the fsync that
-///      makes a whole exclusive batch durable happens outside the lock and
-///      is paid once for the batch instead of once per mutation.
+///   6. Exclusive batching: symmetric to rule 5, a worker holding the
+///      *writer* lock drains up to `kExclusiveBatch - 1` more kExclusive
+///      head-of-lane tasks before releasing. No task body waits on I/O: a
+///      durable write enqueues its WAL record with a completion and returns
+///      (store/group_commit.h), freeing its lane; the committer sends the
+///      reply once the record is on disk.
 ///
 /// Shutdown() closes submission, drains every queued task, then joins the
-/// workers -- accepted work always runs exactly once (either its body plus
-/// its continuation or, past its deadline, its on_expired callback).
+/// workers -- accepted work always runs exactly once (either its body or,
+/// past its deadline, its on_expired callback).
 ///
 /// Lock discipline (checked by -Wthread-safety): all queue state -- lanes_,
 /// ready_, closed_, in_flight_ -- is guarded by mu_; the database itself is
@@ -85,13 +82,10 @@ enum class SubmitResult {
   kClosed,    ///< Executor is shutting down.
 };
 
-/// Work a task defers to after the database lock is released (rule 6);
-/// empty = nothing deferred.
-using PostLockFn = std::function<void()>;
-/// A task body: runs under the declared lock mode and may return the
-/// deferred part. Waiting (on a commit ticket, a peer, anything slower than
-/// memory) belongs in the returned continuation, never in the body.
-using TaskFn = std::function<PostLockFn()>;
+/// A task body: runs under the declared lock mode and must not wait on
+/// I/O or on another task -- it hands slow work (a WAL commit) off with a
+/// completion instead.
+using TaskFn = std::function<void()>;
 
 class Executor {
  public:
@@ -102,8 +96,7 @@ class Executor {
 
   /// Max kShared tasks run under one reader hold (rule 5).
   static constexpr int kSharedBatch = 8;
-  /// Max kExclusive tasks run under one writer hold (rule 6); they then
-  /// commit as one WAL group.
+  /// Max kExclusive tasks run under one writer hold (rule 6).
   static constexpr int kExclusiveBatch = 8;
 
   /// `stats` may be null (tests); if set, queue depth and lock-wait times
@@ -161,14 +154,12 @@ class Executor {
   /// the acquisition wait. One scoped hold per mode keeps the analysis's
   /// lock state balanced on every path. kShared/kExclusive tasks continue
   /// into the same-mode batch drain (rules 5 and 6) before the hold is
-  /// released; every collected continuation runs after it.
+  /// released.
   void RunTask(Task& task) ISIS_EXCLUDES(mu_, db_lock_);
   /// The rule-5/6 drain: runs up to batch-1 more `mode` head-of-lane tasks
-  /// while the caller's lock hold is still open, appending their
-  /// continuations to `post`. The caller must hold db_lock_ in `mode`.
-  void DrainBatchLocked(TaskMode mode, int batch,
-                        std::vector<PostLockFn>* post)
-      ISIS_EXCLUDES(mu_);
+  /// while the caller's lock hold is still open. The caller must hold
+  /// db_lock_ in `mode`.
+  void DrainBatchLocked(TaskMode mode, int batch) ISIS_EXCLUDES(mu_);
   /// Claims the head task of some ready lane iff it declares `mode`,
   /// marking the lane running. Lanes whose head needs another mode are
   /// rotated to the back of ready_ untouched. False when no such head is

@@ -59,6 +59,27 @@ std::vector<std::string> Session::DrainNotifications() {
   return out;
 }
 
+bool Session::FindWrite(std::uint64_t seq, Frame* resp) const {
+  MutexLock lock(mu_);
+  if (seq != last_write_seq_) return false;
+  *resp = last_write_resp_;
+  return true;
+}
+
+void Session::OpenWrite(std::uint64_t seq) {
+  MutexLock lock(mu_);
+  last_write_seq_ = seq;
+  // Until the commit resolves a resend hears "retry": nothing new happened.
+  last_write_resp_ = Frame();
+  last_write_resp_.type = MsgType::kRetry;
+  last_write_resp_.payload = "write_pending";
+}
+
+void Session::ResolveWrite(std::uint64_t seq, const Frame& resp) {
+  MutexLock lock(mu_);
+  if (seq == last_write_seq_) last_write_resp_ = resp;
+}
+
 // --- DeltaCollector. ---
 
 void Server::DeltaCollector::OnMembership(EntityId e, ClassId cls,
@@ -219,16 +240,18 @@ std::string Server::Shutdown() {
     if (shut_down_) return stats_.ToJsonLine();
     shut_down_ = true;
   }
-  executor_->Shutdown();  // Drains every accepted request + continuations.
+  executor_->Shutdown();  // Drains every accepted request.
+  // Every logged write is answered before the checkpoint. A failed WAL
+  // keeps the old log: memory holds writes that were answered kError.
+  Status logged = Status::OK();
   if (committer_ != nullptr) {
-    // Every request's own continuation already waited; this covers records
-    // whose waiter died with a dropped transport, and makes "WAL complete"
-    // a precondition of the checkpoint below.
-    LogIfError(committer_->Flush(), "WAL flush at shutdown");
+    logged = committer_->Flush();
+    committer_.reset();
   }
+  LogIfError(logged, "server WAL failed; shutdown skips the checkpoint");
   SyncCacheStats();
   ws_->db().set_intern_frozen(false);
-  if (wal_ != nullptr) {
+  if (wal_ != nullptr && logged.ok()) {
     store::FileEnv* env =
         options_.env != nullptr ? options_.env : store::FileEnv::Default();
     const std::string save_path =
@@ -240,12 +263,7 @@ std::string Server::Shutdown() {
       base.push_back({"base", store::Save(*ws_)});
       Result<std::unique_ptr<store::WalWriter>> writer =
           store::WalWriter::CreateWithRecords(wal_->path(), env, base);
-      if (writer.ok()) {
-        wal_ = std::move(writer).ValueOrDie();
-        // The committer is idle (executor drained, Flush returned) -- the
-        // one state set_writer's contract allows.
-        committer_->set_writer(wal_.get());
-      }
+      if (writer.ok()) wal_ = std::move(writer).ValueOrDie();
     }
     // A failed checkpoint keeps the old log -- recovery still works.
   }
@@ -339,7 +357,7 @@ void Server::HandleFrame(std::int64_t session_id, const Frame& request,
     executor_->AddLane(id);
     SubmitResult r = executor_->Submit(
         id, TaskMode::kShared,
-        [this, id, request, done, t0]() mutable -> PostLockFn {
+        [this, id, request, done, t0]() mutable {
           auto s = std::make_shared<Session>(id, ws_.get(), live_.get());
           {
             MutexLock lock(sessions_mu_);
@@ -350,7 +368,6 @@ void Server::HandleFrame(std::int64_t session_id, const Frame& request,
           resp.seq = request.seq;
           resp.payload = JoinFields({std::to_string(id), ws_->name()});
           Finish(request, resp, done, t0);
-          return {};
         },
         /*important=*/true);
     if (r != SubmitResult::kAccepted) {
@@ -404,7 +421,7 @@ void Server::HandleFrame(std::int64_t session_id, const Frame& request,
 
   TaskFn task;
   if (mode == TaskMode::kShared) {
-    task = [this, s, request, done, t0]() mutable -> PostLockFn {
+    task = [this, s, request, done, t0]() mutable {
       // Detect reads that needed to intern an unseen value: either the
       // engine returned Unavailable, or a degraded naming read bumped the
       // thread-local miss counter. Re-run those under the exclusive lock.
@@ -415,13 +432,12 @@ void Server::HandleFrame(std::int64_t session_id, const Frame& request,
         stats_.RecordPromotion();
         SubmitResult r = executor_->Submit(
             s->id(), TaskMode::kExclusive,
-            [this, s, request, done, t0]() mutable -> PostLockFn {
+            [this, s, request, done, t0]() mutable {
               ws_->db().set_intern_frozen(false);
               Frame retry = HandleReadLocked(s, request);
               ws_->db().set_intern_frozen(true);
               FanOutDeltas();  // Interning may have touched memberships.
               Finish(request, retry, done, t0);
-              return {};
             },
             /*important=*/true);
         if (r != SubmitResult::kAccepted) {
@@ -429,10 +445,9 @@ void Server::HandleFrame(std::int64_t session_id, const Frame& request,
                  ErrorFrame(request, Status::Unavailable("server is closed")),
                  done, t0);
         }
-        return {};
+        return;
       }
       Finish(request, resp, done, t0);
-      return {};
     };
   } else if (mode == TaskMode::kExclusive) {
     // The WAL record is assembled here, on the transport's thread -- string
@@ -447,44 +462,52 @@ void Server::HandleFrame(std::int64_t session_id, const Frame& request,
       wal_payload = request.payload;
     }
     task = [this, s, request, done, t0, wal_type = std::move(wal_type),
-            wal_payload = std::move(wal_payload)]() mutable -> PostLockFn {
-      // A resend of the write we just applied (its response was lost in
-      // flight): replay the cached response instead of applying twice.
-      if (request.write_seq != 0 &&
-          request.write_seq == s->last_write_seq()) {
+            wal_payload = std::move(wal_payload)]() mutable {
+      // A resend of a write already applied (its response was lost in
+      // flight): answer from the window instead of applying twice.
+      Frame cached;
+      if (request.write_seq != 0 && s->FindWrite(request.write_seq, &cached)) {
         stats_.RecordDedupHit();
-        Frame resp = s->last_write_response();
-        resp.seq = request.seq;
-        Finish(request, resp, done, t0);
-        return {};
+        cached.seq = request.seq;
+        Finish(request, cached, done, t0);
+        return;
+      }
+      // Fail-stop: after a failed commit the log may be torn, so nothing
+      // more is applied; reads are still served.
+      const Status wal =
+          committer_ != nullptr ? committer_->status() : Status::OK();
+      if (!wal.ok()) {
+        Finish(request, ErrorFrame(request, wal), done, t0);
+        return;
       }
       bool log_wal = false;
       ws_->db().set_intern_frozen(false);
-      Frame resp = HandleWriteLocked(s, request, &log_wal);
+      Frame resp = request.type == MsgType::kEvent
+                       ? DoEvent(s, request, &log_wal)
+                       : DoAssign(request, &log_wal);
       ws_->db().set_intern_frozen(true);
       FanOutDeltas();
-      if (request.write_seq != 0) s->set_last_write(request.write_seq, resp);
-      if (!log_wal || committer_ == nullptr) {
-        Finish(request, resp, done, t0);
-        return {};
-      }
-      // Enqueue while the writer lock is still held (a queue push, no
-      // I/O), so WAL order always equals apply order. The wait -- and the
-      // fsync behind it -- happens in the continuation, after the lock is
-      // released; until then the reply does not exist.
-      store::GroupCommitter::Ticket ticket =
-          committer_->Enqueue(std::move(wal_type), std::move(wal_payload));
-      return [this, ticket, request, resp, done, t0]() mutable {
-        // Best-effort like the old inline append: the mutation is already
-        // applied, so an error here must not fail the request (the client
-        // would desync from state that exists); it surfaces in the log and
-        // the committer's sticky failure keeps later commits loud.
-        LogIfError(committer_->Wait(ticket), "server WAL group commit");
+      if (request.write_seq != 0) s->OpenWrite(request.write_seq);
+      auto reply = [this, s, request, resp, done, t0](Status st) mutable {
+        if (!st.ok()) {
+          stats_.RecordWalFailure();
+          resp = ErrorFrame(request, st);
+        }
+        if (request.write_seq != 0) s->ResolveWrite(request.write_seq, resp);
         Finish(request, resp, done, t0);
       };
+      if (!log_wal || committer_ == nullptr) {
+        reply(Status::OK());
+        return;
+      }
+      // Enqueue while the writer lock is still held (a queue push, no
+      // I/O), so WAL order always equals apply order. The committer sends
+      // the reply once the record is durable: an OK means on disk.
+      committer_->Enqueue(std::move(wal_type), std::move(wal_payload),
+                          std::move(reply));
     };
   } else {
-    task = [this, s, request, done, t0]() mutable -> PostLockFn {
+    task = [this, s, request, done, t0]() mutable {
       Frame resp;
       resp.seq = request.seq;
       switch (request.type) {
@@ -528,7 +551,6 @@ void Server::HandleFrame(std::int64_t session_id, const Frame& request,
           break;
       }
       Finish(request, resp, done, t0);
-      return {};
     };
   }
 
@@ -577,18 +599,6 @@ Frame Server::HandleReadLocked(std::shared_ptr<Session> s, const Frame& req) {
       return DoRender(std::move(s), req);
     default:
       return ErrorFrame(req, Status::Internal("bad shared dispatch"));
-  }
-}
-
-Frame Server::HandleWriteLocked(std::shared_ptr<Session> s, const Frame& req,
-                                bool* log_wal) {
-  switch (req.type) {
-    case MsgType::kEvent:
-      return DoEvent(std::move(s), req, log_wal);
-    case MsgType::kAssign:
-      return DoAssign(req, log_wal);
-    default:
-      return ErrorFrame(req, Status::Internal("bad exclusive dispatch"));
   }
 }
 
@@ -693,9 +703,8 @@ Frame Server::DoEvent(std::shared_ptr<Session> s, const Frame& req,
   // Errors surface in the session's message line, exactly like the
   // single-user interface; the response is still the rendered screen.
   Status st = s->ctrl().HandleEvent(*ev);
-  // The caller commits the record through the group committer once the
-  // exclusive lock is released; rejected events replay as no-ops anyway,
-  // so only accepted ones are worth a WAL slot.
+  // Rejected events replay as no-ops anyway, so only accepted ones are
+  // worth a WAL slot (the caller commits it).
   if (st.ok() && log_wal != nullptr) *log_wal = true;
   const ui::Screen& screen = s->ctrl().Render();
   Frame resp;

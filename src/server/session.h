@@ -37,16 +37,15 @@
 /// "assign") before its response is sent, via group commit
 /// (store/group_commit.h, DESIGN.md §14): the exclusive task applies the
 /// mutation and *enqueues* the pre-built WAL record while holding the
-/// writer lock -- so WAL order equals apply order -- then waits for its
-/// commit ticket in a post-lock continuation, after the lock is released.
-/// The fsync that makes a whole batch of mutations durable thus never
-/// blocks readers or the next writer, and under `wal_sync = kGroup` is
-/// paid once per batch instead of once per mutation. Open() replays a
-/// leftover log through per-session replay controllers -- the same
-/// dispatch path that produced it -- then rotates it onto a fresh base
-/// checkpoint. Shutdown() drains the executor, flushes the committer,
-/// checkpoints to `<dir>/<db>.isis`, rotates the log and emits one stats
-/// JSON line.
+/// writer lock -- so WAL order equals apply order -- with a completion that
+/// the committer runs once the record is durable; it sends the response.
+/// No worker waits on the disk. A failed commit answers kError and the
+/// server goes read-only (fail-stop): later writes are refused before they
+/// apply; reads are still served. Open() replays a leftover log through
+/// per-session replay controllers -- the same dispatch path that produced
+/// it -- then rotates it onto a fresh base checkpoint. Shutdown() drains
+/// the executor, flushes the committer, checkpoints to `<dir>/<db>.isis`,
+/// rotates the log and emits one stats JSON line.
 
 #ifndef ISIS_SERVER_SESSION_H_
 #define ISIS_SERVER_SESSION_H_
@@ -120,22 +119,22 @@ class Session {
   std::vector<std::string> DrainNotifications();
 
   // Write-dedup window, one write deep (see retry.h): the last applied
-  // write_seq and the response it produced. Lane-serial -- only this
-  // session's exclusive tasks read or write it -- so no lock, like the
-  // controller.
-  std::uint64_t last_write_seq() const { return last_write_seq_; }
-  const Frame& last_write_response() const { return last_write_resp_; }
-  void set_last_write(std::uint64_t seq, const Frame& resp) {
-    last_write_seq_ = seq;
-    last_write_resp_ = resp;
-  }
+  // write_seq and the final response it produced. The lane's exclusive
+  // task opens it; the commit's completion, possibly on the committer's
+  // answer thread, resolves it.
+  /// True iff `seq` is the windowed write; `*resp` is then its answer.
+  bool FindWrite(std::uint64_t seq, Frame* resp) const;
+  /// Moves the window to `seq`, answering kRetry until it is resolved.
+  void OpenWrite(std::uint64_t seq);
+  /// Records `seq`'s final response, unless the window has moved on.
+  void ResolveWrite(std::uint64_t seq, const Frame& resp);
 
  private:
   const std::int64_t id_;
   ui::SessionController ctrl_;
-  std::uint64_t last_write_seq_ = 0;  ///< 0 = empty window.
-  Frame last_write_resp_;
   mutable Mutex mu_;
+  std::uint64_t last_write_seq_ ISIS_GUARDED_BY(mu_) = 0;  ///< 0 = empty.
+  Frame last_write_resp_ ISIS_GUARDED_BY(mu_);
   /// Class names, or "*".
   std::set<std::string> subs_ ISIS_GUARDED_BY(mu_);
   /// Undelivered kNotify payloads.
@@ -152,7 +151,7 @@ class Server {
   static Result<std::unique_ptr<Server>> Open(
       std::unique_ptr<query::Workspace> ws, const ServerOptions& options);
 
-  ~Server();  ///< Without Shutdown(): simulates a crash (WAL left as-is).
+  ~Server();  ///< Without Shutdown(): simulates a crash (no checkpoint).
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -223,15 +222,11 @@ class Server {
   // `exclusive` ones alone. All return the response frame.
   Frame HandleHello(const Frame& req);
   Frame HandleReadLocked(std::shared_ptr<Session> s, const Frame& req);
-  /// `log_wal` (out, may be null): set true iff the mutation applied and
-  /// must be in the WAL before the response is sent. The *caller* owns the
-  /// commit -- it enqueues the pre-built record on the group committer
-  /// under the lock and waits for the ticket after releasing it.
-  Frame HandleWriteLocked(std::shared_ptr<Session> s, const Frame& req,
-                          bool* log_wal);
   Frame DoQuery(const Frame& req);
   Frame DoExplain(const Frame& req);
   Frame DoRender(std::shared_ptr<Session> s, const Frame& req);
+  /// The write handlers set `*log_wal` iff the mutation applied and must be
+  /// in the WAL before the response is sent; the caller commits it.
   Frame DoEvent(std::shared_ptr<Session> s, const Frame& req, bool* log_wal);
   Frame DoAssign(const Frame& req, bool* log_wal);
   /// Fan out collected deltas to subscribed sessions (exclusive lock held).
@@ -257,8 +252,8 @@ class Server {
   ServerStats stats_;
   std::unique_ptr<Executor> executor_;
   std::unique_ptr<store::WalWriter> wal_;  ///< Null when not durable.
-  /// Serializes WAL appends and amortizes fsyncs across concurrent
-  /// mutations. Null iff wal_ is. Declared after wal_: destroyed first.
+  /// Its threads own WAL appends and answer durable writes. Null iff
+  /// wal_ is. Declared after wal_ and stats_: destroyed (drained) first.
   std::unique_ptr<store::GroupCommitter> committer_;
 
   mutable Mutex sessions_mu_;

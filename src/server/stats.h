@@ -57,11 +57,12 @@ struct StatsSnapshot {
   std::int64_t cache_invalidations = 0; ///< Entries evicted by deltas.
   std::int64_t cache_flushes = 0;       ///< Full flushes (schema + version).
   // Group commit (store/group_commit.h), fed through its batch observer.
-  std::int64_t wal_batches = 0;    ///< Leader drains (write groups formed).
+  std::int64_t wal_batches = 0;    ///< Log-thread drains (groups formed).
   std::int64_t wal_records = 0;    ///< WAL records committed.
   std::int64_t wal_syncs = 0;      ///< fsyncs issued; < wal_records = grouping.
   std::int64_t wal_sync_us = 0;    ///< Cumulative fsync time.
   std::int64_t wal_group_max = 0;  ///< Largest group committed by one fsync.
+  std::int64_t wal_failed = 0;     ///< 1 once the WAL failed: read-only.
   double fsync_p50_us = 0.0;       ///< Median fsync latency (interpolated).
   double fsync_p95_us = 0.0;       ///< 95th percentile fsync latency.
   std::int64_t fsync_max_us = 0;   ///< Exact slowest fsync.
@@ -140,6 +141,9 @@ class ServerStats {
     }
   }
 
+  /// A commit failed: the server stops accepting writes (fail-stop).
+  void RecordWalFailure() { wal_failed_.store(1, std::memory_order_relaxed); }
+
   /// Absolute sync of the result-cache counters (the cache keeps its own
   /// under its own lock; the Server copies them over before a snapshot is
   /// served). Stores, not adds: the cache's counters are the truth.
@@ -183,6 +187,7 @@ class ServerStats {
     s.wal_syncs = Get(wal_syncs_);
     s.wal_sync_us = Get(wal_sync_us_);
     s.wal_group_max = Get(wal_group_max_);
+    s.wal_failed = Get(wal_failed_);
     s.fsync_p50_us = Percentile(fsync_buckets_, fsync_max_us_, 0.50);
     s.fsync_p95_us = Percentile(fsync_buckets_, fsync_max_us_, 0.95);
     s.fsync_max_us = Get(fsync_max_us_);
@@ -259,6 +264,7 @@ class ServerStats {
   Counter wal_syncs_{0};
   Counter wal_sync_us_{0};
   Counter wal_group_max_{0};
+  Counter wal_failed_{0};
   Counter fsync_max_us_{0};
   Counter max_us_{0};
   std::array<Counter, 32> by_type_{};

@@ -1,6 +1,9 @@
 #include "store/group_commit.h"
 
+#include <algorithm>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <utility>
 
 namespace isis::store {
@@ -37,149 +40,181 @@ const char* WalSyncPolicyName(WalSyncPolicy policy) {
 }
 
 GroupCommitter::GroupCommitter(WalWriter* wal, const Options& options)
-    : options_(options), wal_(wal) {}
+    : options_(options),
+      wal_(wal),
+      log_thread_([this] { LogLoop(); }),
+      answer_thread_([this] { AnswerLoop(); }) {}
 
-GroupCommitter::Ticket GroupCommitter::Enqueue(std::string type,
-                                               std::string payload) {
+GroupCommitter::~GroupCommitter() {
+  {
+    MutexLock lock(mu_);
+    stopping_ = true;
+    work_cv_.NotifyAll();
+  }
+  log_thread_.join();  // Every record is written.
+  {
+    MutexLock lock(mu_);
+    log_stopped_ = true;
+    answer_cv_.NotifyAll();
+  }
+  answer_thread_.join();  // Every record is answered.
+}
+
+void GroupCommitter::Enqueue(std::string type, std::string payload,
+                             Completion on_durable) {
   MutexLock lock(mu_);
-  if (pending_.size() >= static_cast<std::size_t>(options_.max_queue)) {
-    // Backpressure, not rejection: every queued record has a waiter coming,
-    // so the leader is (about to be) draining and space frees within one
-    // batch. The enqueuer may hold the database writer lock, but the
-    // leader needs only mu_, so this wait is fsync-bounded.
+  if (pending_.size() >= static_cast<std::size_t>(kMaxQueue)) {
+    // Backpressure, not rejection: the log thread frees space within one
+    // batch, and neither it nor a completion ever takes the database lock
+    // this enqueuer may hold.
     ++counters_.queue_waits;
-    cv_.Wait(lock, [this] {
+    done_cv_.Wait(lock, [this] {
       mu_.AssertHeld();
-      return pending_.size() < static_cast<std::size_t>(options_.max_queue);
+      return pending_.size() < static_cast<std::size_t>(kMaxQueue);
     });
   }
-  const std::uint64_t seq = next_seq_++;
-  PendingRecord p;
-  p.seq = seq;
-  p.record.type = std::move(type);
-  p.record.payload = std::move(payload);
-  pending_.push_back(std::move(p));
+  pending_.push_back(
+      {{std::move(type), std::move(payload)}, std::move(on_durable)});
   ++counters_.records;
-  // A parked waiter (e.g. Flush) may need to notice new work exists.
-  cv_.NotifyAll();
-  return Ticket{seq};
+  // Wake the log thread after unlocking, or it wakes only to block on mu_.
+  lock.Unlock();
+  work_cv_.NotifyOne();
 }
 
-Status GroupCommitter::StatusForSeqLocked(std::uint64_t seq) const {
-  if (failed_from_ != 0 && seq >= failed_from_) return fail_;
-  return Status::OK();
+Status GroupCommitter::Commit(std::string type, std::string payload) {
+  // The completion co-owns the promise, so it outlives set_value.
+  auto durable = std::make_shared<std::promise<Status>>();
+  std::future<Status> result = durable->get_future();
+  Enqueue(std::move(type), std::move(payload),
+          [durable](Status st) { durable->set_value(std::move(st)); });
+  return result.get();
 }
 
-Status GroupCommitter::WaitForSeq(std::uint64_t seq) {
+Status GroupCommitter::WriteBatch(const std::vector<WalRecord>& batch,
+                                  std::size_t* ok_records,
+                                  std::int64_t* syncs,
+                                  std::int64_t* sync_us) {
+  const auto observe = [this](int records, std::int64_t us, bool synced) {
+    if (options_.batch_observer) options_.batch_observer(records, us, synced);
+  };
+  if (options_.policy == WalSyncPolicy::kPerCommit) {
+    for (const WalRecord& r : batch) {
+      auto t0 = std::chrono::steady_clock::now();
+      ISIS_RETURN_NOT_OK(wal_->Append(r.type, r.payload));
+      const std::int64_t us = MicrosSince(t0);
+      ++*ok_records;
+      ++*syncs;
+      *sync_us += us;
+      observe(1, us, true);
+    }
+    return Status::OK();
+  }
+  Status st = wal_->AppendRecords(batch);
+  const bool sync = options_.policy == WalSyncPolicy::kGroup;
+  if (st.ok() && sync) {
+    auto t0 = std::chrono::steady_clock::now();
+    st = wal_->Sync();
+    *sync_us = MicrosSince(t0);
+    ++*syncs;
+  }
+  if (st.ok()) *ok_records = batch.size();
+  observe(static_cast<int>(batch.size()), *sync_us, sync);
+  return st;
+}
+
+void GroupCommitter::LogLoop() {
   MutexLock lock(mu_);
   for (;;) {
-    if (durable_seq_ >= seq) return StatusForSeqLocked(seq);
-    if (leader_active_ || pending_.empty()) {
-      // A leader is on it (or our record is mid-drain): follow.
-      cv_.Wait(lock);
-      continue;
-    }
+    work_cv_.Wait(lock, [this] {
+      mu_.AssertHeld();
+      return !pending_.empty() || stopping_;
+    });
+    if (pending_.empty()) return;  // Stopping, and the queue is drained.
 
-    // Become the leader: claim a batch, do everyone's I/O, wake them.
-    leader_active_ = true;
+    // Claim a batch; its I/O runs outside the mutex.
+    WrittenBatch written;
+    written.first = taken_ + 1;
+    const std::size_t n =
+        std::min(pending_.size(), static_cast<std::size_t>(kMaxBatch));
+    taken_ += n;
     std::vector<WalRecord> batch;
-    batch.reserve(pending_.size() < static_cast<std::size_t>(
-                      options_.max_batch)
-                      ? pending_.size()
-                      : static_cast<std::size_t>(options_.max_batch));
-    const std::uint64_t first = pending_.front().seq;
-    while (!pending_.empty() &&
-           batch.size() < static_cast<std::size_t>(options_.max_batch)) {
+    for (std::size_t i = 0; i < n; ++i) {
       batch.push_back(std::move(pending_.front().record));
+      written.completions.push_back(std::move(pending_.front().on_durable));
       pending_.pop_front();
     }
-    const std::uint64_t last = first + batch.size() - 1;
     const bool already_failed = failed_from_ != 0;
-    WalWriter* wal = wal_;
-    cv_.NotifyAll();  // Queue space freed: unblock bounded-queue enqueuers.
+    done_cv_.NotifyAll();  // Queue space freed: unblock enqueuers.
     lock.Unlock();
 
-    Status st = Status::OK();
-    std::uint64_t ok_records = 0;
-    std::int64_t sync_us = 0;
+    std::size_t ok_records = 0;
     std::int64_t syncs = 0;
-    if (already_failed) {
-      // The WAL is suspect (possibly torn mid-frame); appending more could
-      // bury the tear under fresh frames. Fail fast without touching it.
-      st = Status::Unavailable("WAL writer has failed; commit not logged");
-    } else {
-      switch (options_.policy) {
-        case WalSyncPolicy::kPerCommit:
-          for (const WalRecord& r : batch) {
-            auto t0 = std::chrono::steady_clock::now();
-            st = wal->Append(r.type, r.payload);
-            const std::int64_t us = MicrosSince(t0);
-            if (!st.ok()) break;
-            ++ok_records;
-            ++syncs;
-            sync_us += us;
-            if (options_.batch_observer) options_.batch_observer(1, us, true);
-          }
-          break;
-        case WalSyncPolicy::kGroup: {
-          st = wal->AppendRecords(batch);
-          if (st.ok()) {
-            auto t0 = std::chrono::steady_clock::now();
-            st = wal->Sync();
-            sync_us = MicrosSince(t0);
-            ++syncs;
-          }
-          if (st.ok()) ok_records = batch.size();
-          if (options_.batch_observer) {
-            options_.batch_observer(static_cast<int>(batch.size()), sync_us,
-                                    true);
-          }
-          break;
-        }
-        case WalSyncPolicy::kNone:
-          st = wal->AppendRecords(batch);
-          if (st.ok()) ok_records = batch.size();
-          if (options_.batch_observer) {
-            options_.batch_observer(static_cast<int>(batch.size()), 0, false);
-          }
-          break;
-      }
-    }
+    std::int64_t sync_us = 0;
+    // A failed WAL may be torn mid-frame; appending more could bury the
+    // tear under fresh frames, so a later batch skips the I/O and takes
+    // the sticky failure below.
+    const Status st =
+        already_failed ? Status::OK()
+                       : WriteBatch(batch, &ok_records, &syncs, &sync_us);
 
     lock.Lock();
-    durable_seq_ = last;
-    if (!st.ok() && failed_from_ == 0) {
-      // Records before the failure point in this batch made it; the rest —
-      // and everything after — report the sticky error.
+    if (!st.ok()) {
       fail_ = st;
-      failed_from_ = first + ok_records;
+      failed_from_ = written.first + ok_records;
     }
     ++counters_.batches;
     counters_.syncs += syncs;
     counters_.sync_us += sync_us;
-    if (static_cast<std::int64_t>(batch.size()) > counters_.max_group) {
-      counters_.max_group = static_cast<std::int64_t>(batch.size());
-    }
-    leader_active_ = false;
-    cv_.NotifyAll();  // Followers of this batch + the next leader.
+    counters_.max_group =
+        std::max(counters_.max_group, static_cast<std::int64_t>(n));
+    written_.push_back(std::move(written));
+    answer_cv_.NotifyOne();
   }
 }
 
-Status GroupCommitter::Wait(Ticket ticket) { return WaitForSeq(ticket.seq); }
+void GroupCommitter::AnswerLoop() {
+  MutexLock lock(mu_);
+  for (;;) {
+    answer_cv_.Wait(lock, [this] {
+      mu_.AssertHeld();
+      return !written_.empty() || log_stopped_;
+    });
+    if (written_.empty()) return;  // The log thread is gone: all answered.
+    WrittenBatch b = std::move(written_.front());
+    written_.pop_front();
+    // The failure is sticky and set once, so what holds now held when the
+    // batch was written.
+    const std::uint64_t failed_from = failed_from_;
+    const Status fail = fail_;
+    lock.Unlock();
+
+    for (std::size_t i = 0; i < b.completions.size(); ++i) {
+      const bool ok = failed_from == 0 || b.first + i < failed_from;
+      if (b.completions[i]) b.completions[i](ok ? Status::OK() : fail);
+    }
+    const std::uint64_t last = b.first + b.completions.size() - 1;
+    b.completions.clear();  // Their captures are released outside the mutex.
+
+    lock.Lock();
+    done_ = last;
+    done_cv_.NotifyAll();  // Flush waiters.
+  }
+}
 
 Status GroupCommitter::Flush() {
-  std::uint64_t target;
-  {
-    MutexLock lock(mu_);
-    if (next_seq_ == 1) return Status::OK();  // Nothing ever enqueued.
-    target = next_seq_ - 1;
-  }
-  return WaitForSeq(target);
+  MutexLock lock(mu_);
+  const std::uint64_t target = counters_.records;
+  done_cv_.Wait(lock, [this, target] {
+    mu_.AssertHeld();
+    return done_ >= target;
+  });
+  const bool ok = failed_from_ == 0 || target < failed_from_;
+  return ok ? Status::OK() : fail_;
 }
 
-void GroupCommitter::set_writer(WalWriter* wal) {
+Status GroupCommitter::status() const {
   MutexLock lock(mu_);
-  wal_ = wal;
+  return fail_;
 }
 
 GroupCommitter::Counters GroupCommitter::counters() const {

@@ -3,12 +3,18 @@
 /// batched WAL append (WalWriter::AppendBatch): grouping actually groups
 /// (N records, one write, one sync), the policies sync exactly as
 /// advertised, the bounded queue applies backpressure instead of dropping,
-/// errors are sticky, and -- the property that makes replies trustworthy --
-/// after a crash at ANY injected fault point the set of commits that were
+/// completions run in enqueue order, errors are sticky, the destructor
+/// drains, and -- the property that makes replies trustworthy -- after a
+/// crash at ANY injected fault point the set of commits that were
 /// acknowledged OK is a subset of the clean prefix recovery reads back.
+///
+/// Batch shapes are made deterministic with SyncGateEnv: the log thread is
+/// parked inside the fsync of a first record while the test queues the
+/// records that must form the next batch.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -19,6 +25,7 @@
 #include "store/file.h"
 #include "store/group_commit.h"
 #include "store/wal.h"
+#include "sync_gate_env.h"
 
 namespace isis::store {
 namespace {
@@ -84,37 +91,44 @@ TEST(WalBatchTest, EmptyBatchIsFree) {
 
 TEST(GroupCommitTest, GroupPolicyDrainsPendingRecordsUnderOneSync) {
   CleanSlate("gc_group");
-  std::unique_ptr<WalWriter> wal = FreshWal("gc_group", FileEnv::Default());
+  SyncGateEnv gate(FileEnv::Default());
+  std::unique_ptr<WalWriter> wal = FreshWal("gc_group", &gate);
   ASSERT_NE(wal, nullptr);
   GroupCommitter::Options opts;
   opts.policy = WalSyncPolicy::kGroup;
   GroupCommitter gc(wal.get(), opts);
 
-  // Enqueue 5 before any Wait: the first waiter becomes the leader and
-  // must drain all of them as one group with one fsync.
-  std::vector<GroupCommitter::Ticket> tickets;
+  // Park the log thread inside the fsync of a head record, then queue 5
+  // more: once released it must drain all 5 as one group with one fsync.
+  gate.Arm();
+  gc.Enqueue("event", "head");
+  gate.AwaitHeld();
+  std::vector<int> answered;  // Appended by the answer thread only.
   for (int i = 0; i < 5; ++i) {
-    tickets.push_back(gc.Enqueue("event", "e" + std::to_string(i)));
+    gc.Enqueue("event", "e" + std::to_string(i), [&answered, i](Status st) {
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      answered.push_back(i);
+    });
   }
-  ASSERT_TRUE(gc.Wait(tickets.back()).ok());
-  // Earlier tickets were covered by the same batch: resolved, no new I/O.
-  for (const GroupCommitter::Ticket& t : tickets) {
-    EXPECT_TRUE(gc.Wait(t).ok());
-  }
+  gate.Release();
+  ASSERT_TRUE(gc.Flush().ok());
+  // Flush returned only after every completion ran, and they ran in
+  // enqueue order.
+  EXPECT_EQ(answered, (std::vector<int>{0, 1, 2, 3, 4}));
 
   GroupCommitter::Counters c = gc.counters();
-  EXPECT_EQ(c.records, 5);
-  EXPECT_EQ(c.batches, 1);
-  EXPECT_EQ(c.syncs, 1);
+  EXPECT_EQ(c.records, 6);
+  EXPECT_EQ(c.batches, 2);
+  EXPECT_EQ(c.syncs, 2);
   EXPECT_EQ(c.max_group, 5);
 
   Result<WalContents> read =
       ReadWal(Dir() + "/gc_group.wal", FileEnv::Default());
   ASSERT_TRUE(read.ok());
-  ASSERT_EQ(read->records.size(), 6u);
+  ASSERT_EQ(read->records.size(), 7u);  // base + head + 5.
   // WAL order equals enqueue order.
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(read->records[static_cast<std::size_t>(i + 1)].payload,
+    EXPECT_EQ(read->records[static_cast<std::size_t>(i + 2)].payload,
               "e" + std::to_string(i));
   }
 }
@@ -156,55 +170,68 @@ TEST(GroupCommitTest, NonePolicyNeverSyncs) {
 
 TEST(GroupCommitTest, MaxBatchBoundsTheGroup) {
   CleanSlate("gc_maxbatch");
-  std::unique_ptr<WalWriter> wal =
-      FreshWal("gc_maxbatch", FileEnv::Default());
+  SyncGateEnv gate(FileEnv::Default());
+  std::unique_ptr<WalWriter> wal = FreshWal("gc_maxbatch", &gate);
   ASSERT_NE(wal, nullptr);
   GroupCommitter::Options opts;
   opts.policy = WalSyncPolicy::kGroup;
-  opts.max_batch = 2;
   GroupCommitter gc(wal.get(), opts);
-  for (int i = 0; i < 5; ++i) {
+
+  // Queue more than one batch's worth behind a parked head record.
+  gate.Arm();
+  gc.Enqueue("event", "head");
+  gate.AwaitHeld();
+  constexpr int kQueued = GroupCommitter::kMaxBatch + 3;
+  for (int i = 0; i < kQueued; ++i) {
     gc.Enqueue("event", "e" + std::to_string(i));
   }
+  gate.Release();
   ASSERT_TRUE(gc.Flush().ok());
   GroupCommitter::Counters c = gc.counters();
-  EXPECT_EQ(c.records, 5);
-  EXPECT_LE(c.max_group, 2);
-  EXPECT_GE(c.batches, 3);  // ceil(5 / 2).
+  EXPECT_EQ(c.records, kQueued + 1);
+  EXPECT_EQ(c.max_group, GroupCommitter::kMaxBatch);
+  EXPECT_EQ(c.batches, 3);  // head, kMaxBatch, 3.
 }
 
-TEST(GroupCommitTest, FullQueueBlocksEnqueueUntilTheLeaderDrains) {
+TEST(GroupCommitTest, FullQueueBlocksEnqueueUntilTheLogThreadDrains) {
   CleanSlate("gc_backpressure");
-  std::unique_ptr<WalWriter> wal =
-      FreshWal("gc_backpressure", FileEnv::Default());
+  SyncGateEnv gate(FileEnv::Default());
+  std::unique_ptr<WalWriter> wal = FreshWal("gc_backpressure", &gate);
   ASSERT_NE(wal, nullptr);
   GroupCommitter::Options opts;
   opts.policy = WalSyncPolicy::kGroup;
-  opts.max_queue = 2;
   GroupCommitter gc(wal.get(), opts);
 
-  GroupCommitter::Ticket t0 = gc.Enqueue("event", "a");
-  gc.Enqueue("event", "b");  // Queue now at max_queue.
-  // A third enqueue must block -- backpressure, not a drop -- until a
-  // leader frees space. The main thread provides that leader via Wait,
-  // but only after the enqueuer is provably parked (queue_waits bumps
-  // before the wait), so the blocking path is exercised every run.
+  // The head record is out of the queue and mid-fsync; fill the queue to
+  // its bound behind it.
+  gate.Arm();
+  gc.Enqueue("event", "head");
+  gate.AwaitHeld();
+  for (int i = 0; i < GroupCommitter::kMaxQueue; ++i) {
+    gc.Enqueue("event", "q");
+  }
+  // One more must block -- backpressure, not a drop -- until the log
+  // thread frees space, which it cannot do while parked.
   std::thread blocked([&gc] {
-    EXPECT_TRUE(gc.Commit("event", "c").ok());
+    EXPECT_TRUE(gc.Commit("event", "last").ok());
   });
   while (gc.counters().queue_waits == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_TRUE(gc.Wait(t0).ok());
+  EXPECT_EQ(gc.counters().records, GroupCommitter::kMaxQueue + 1);
+  gate.Release();
   blocked.join();
 
   GroupCommitter::Counters c = gc.counters();
-  EXPECT_EQ(c.records, 3);  // Nothing was dropped.
-  EXPECT_GE(c.queue_waits, 1);
+  EXPECT_EQ(c.records, GroupCommitter::kMaxQueue + 2);  // Nothing dropped.
+  EXPECT_EQ(c.queue_waits, 1);
   Result<WalContents> read =
       ReadWal(Dir() + "/gc_backpressure.wal", FileEnv::Default());
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read->records.size(), 4u);  // base + a, b, c.
+  // base + head + the full queue + last.
+  ASSERT_EQ(read->records.size(),
+            static_cast<std::size_t>(GroupCommitter::kMaxQueue) + 3);
+  EXPECT_EQ(read->records.back().payload, "last");
 }
 
 TEST(GroupCommitTest, FirstFailureIsStickyAndLaterCommitsFailFast) {
@@ -225,6 +252,7 @@ TEST(GroupCommitTest, FirstFailureIsStickyAndLaterCommitsFailFast) {
   GroupCommitter gc(w->get(), opts);
   Status first = gc.Commit("event", "x");
   EXPECT_FALSE(first.ok());
+  EXPECT_EQ(gc.status().code(), first.code());
   // The WAL is now suspect: later commits fail fast without touching it,
   // reporting the original (sticky) failure.
   Status st = gc.Commit("event", "y");
@@ -313,6 +341,43 @@ TEST(GroupCommitTest, ManyConcurrentCommittersAllLandInOrderPerThread) {
   }
 }
 
+TEST(GroupCommitTest, DestructorDrainsTheQueueAndAnswersEveryRecord) {
+  CleanSlate("gc_drain");
+  std::unique_ptr<WalWriter> wal = FreshWal("gc_drain", FileEnv::Default());
+  ASSERT_NE(wal, nullptr);
+  GroupCommitter::Options opts;
+  opts.policy = WalSyncPolicy::kGroup;
+  auto gc = std::make_unique<GroupCommitter>(wal.get(), opts);
+  // Park the answer thread inside e0's completion, queue e1..e3, and only
+  // release it once the destructor has started: the destructor, not a
+  // Flush, must write and answer them.
+  std::atomic<int> answered{0};
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  gc->Enqueue("event", "e0", [&](Status st) {
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    parked = true;
+    while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ++answered;
+  });
+  while (!parked) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (int i = 1; i < 4; ++i) {
+    gc->Enqueue("event", "e" + std::to_string(i), [&answered](Status st) {
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      ++answered;
+    });
+  }
+  std::thread destroy([&gc] { gc.reset(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  release = true;
+  destroy.join();
+  EXPECT_EQ(answered, 4);
+  Result<WalContents> read =
+      ReadWal(Dir() + "/gc_drain.wal", FileEnv::Default());
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read->records.size(), 5u);  // base + 4.
+}
+
 // --- The durability property: acked commits survive every crash point. ---
 
 struct CrashRun {
@@ -322,17 +387,18 @@ struct CrashRun {
 
 /// Runs the fixed 6-commit script against a WAL on `env`, committing
 /// through a GroupCommitter with `policy`. `enqueue_first` stresses the
-/// multi-record-batch geometry: everything is enqueued before the first
-/// Wait, so one leader drain covers all six. Returns how many commits were
-/// acknowledged OK. Commits are acked strictly in order, so `acked` is a
-/// prefix count.
+/// multi-record-batch geometry: e1..e5 are queued while the log thread is
+/// parked inside e0's fsync, so one drain covers all five. Returns how
+/// many commits were acknowledged OK. Commits are acked strictly in order,
+/// so `acked` is a prefix count.
 CrashRun RunCommitScript(const std::string& path, FileEnv* env,
                          WalSyncPolicy policy, bool enqueue_first) {
   CrashRun out;
+  SyncGateEnv gate(env);
   std::vector<WalRecord> base;
   base.push_back({"base", "state0"});
   Result<std::unique_ptr<WalWriter>> w =
-      WalWriter::CreateWithRecords(path, env, base);
+      WalWriter::CreateWithRecords(path, &gate, base);
   if (!w.ok()) {
     out.crashed = true;
     return out;
@@ -342,12 +408,27 @@ CrashRun RunCommitScript(const std::string& path, FileEnv* env,
   GroupCommitter gc(w->get(), opts);
   constexpr int kCommits = 6;
   if (enqueue_first) {
-    std::vector<GroupCommitter::Ticket> tickets;
-    for (int i = 0; i < kCommits; ++i) {
-      tickets.push_back(gc.Enqueue("event", "e" + std::to_string(i)));
+    std::vector<Status> statuses(kCommits);  // Set by the completions.
+    std::atomic<bool> head_done{false};
+    gate.Arm();
+    gc.Enqueue("event", "e0", [&statuses, &head_done](Status st) {
+      statuses[0] = std::move(st);
+      head_done = true;
+    });
+    // A fault in e0's write resolves it before any fsync reaches the gate.
+    while (!gate.held() && !head_done) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
+    for (int i = 1; i < kCommits; ++i) {
+      gc.Enqueue("event", "e" + std::to_string(i),
+                 [&statuses, i](Status st) {
+                   statuses[static_cast<std::size_t>(i)] = std::move(st);
+                 });
+    }
+    gate.Release();
+    (void)gc.Flush();
     for (int i = 0; i < kCommits; ++i) {
-      if (!gc.Wait(tickets[static_cast<std::size_t>(i)]).ok()) {
+      if (!statuses[static_cast<std::size_t>(i)].ok()) {
         out.crashed = true;
         return out;
       }

@@ -33,6 +33,7 @@
 #include "server/session.h"
 #include "store/file.h"
 #include "store/serializer.h"
+#include "sync_gate_env.h"
 
 namespace isis::server {
 namespace {
@@ -692,6 +693,214 @@ TEST(ServerTest, CrashRecoveryReplaysTheWal) {
             players->end());
   srv->Shutdown();
   WipeDurable("SrvCrash");
+}
+
+// --- The log thread: replies after durability, fail-stop, draining. ---
+
+std::unique_ptr<Server> OpenDurableOn(store::FileEnv* env,
+                                      const std::string& db_name) {
+  ServerOptions options;
+  options.threads = 2;
+  options.durable_dir = DurableDir();
+  options.env = env;
+  std::unique_ptr<query::Workspace> ws = datasets::BuildScaledMusic(2);
+  ws->set_name(db_name);
+  Result<std::unique_ptr<Server>> opened =
+      Server::Open(std::move(ws), options);
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  return std::move(opened).ValueOrDie();
+}
+
+Frame AssignFrame(std::uint32_t seq, std::uint64_t write_seq,
+                  const std::string& entity, const std::string& values) {
+  Frame f;
+  f.type = MsgType::kAssign;
+  f.seq = seq;
+  f.write_seq = write_seq;
+  f.payload = JoinFields({"musicians", entity, "plays", values});
+  return f;
+}
+
+// fsyncgate: after a failed fsync the server must not ack anything again.
+// The failing write answers kError (and so does its resend), later writes
+// are refused before they apply, and reads keep working.
+TEST(ServerTest, FailedCommitAnswersErrorAndTheServerGoesReadOnly) {
+  WipeDurable("SrvFailStop");
+  // Count the fsyncs Open performs, so the fault lands on the first commit.
+  int open_syncs = 0;
+  {
+    store::FaultInjectingEnv counting(store::FaultPlan{},
+                                      store::FileEnv::Default());
+    std::unique_ptr<Server> srv = OpenDurableOn(&counting, "SrvFailStop");
+    open_syncs = counting.syncs();
+  }
+  WipeDurable("SrvFailStop");
+  store::FaultPlan plan;
+  plan.fail_sync = open_syncs;
+  store::FaultInjectingEnv failing(plan, store::FileEnv::Default());
+  std::unique_ptr<Server> srv = OpenDurableOn(&failing, "SrvFailStop");
+  LoopbackClient client(srv.get());
+  ASSERT_TRUE(client.Connect("t").ok());
+  const std::int64_t sid = client.session_id();
+
+  Frame failed =
+      CallRaw(srv.get(), sid, AssignFrame(10, 1, "musician0", "inst1"));
+  EXPECT_EQ(failed.type, MsgType::kError) << failed.payload;
+  // The dedup window caches the final answer: a resend is not an OK either.
+  Frame resent =
+      CallRaw(srv.get(), sid, AssignFrame(11, 1, "musician0", "inst1"));
+  EXPECT_EQ(resent.type, MsgType::kError) << resent.payload;
+  EXPECT_EQ(resent.seq, 11u);
+
+  const std::string before = store::Save(srv->workspace());
+  Frame refused =
+      CallRaw(srv.get(), sid, AssignFrame(12, 2, "musician1", "inst2,inst3"));
+  EXPECT_EQ(refused.type, MsgType::kError);
+  EXPECT_EQ(refused.payload, failed.payload) << "refused with the WAL error";
+  EXPECT_EQ(store::Save(srv->workspace()), before)
+      << "a write after the WAL failure was applied";
+
+  Result<std::vector<std::string>> players =
+      client.Query("musicians", "e.plays ]= {inst1}");
+  ASSERT_TRUE(players.ok()) << players.status().ToString();
+  EXPECT_EQ(srv->stats().Snapshot().wal_failed, 1);
+  EXPECT_NE(srv->Shutdown().find("\"wal_failed\": 1"), std::string::npos);
+  WipeDurable("SrvFailStop");
+}
+
+// K sessions fire bursts of durable writes and Shutdown() follows at once,
+// while the log thread is parked in the first batch's fsync: every write is
+// answered OK before the checkpoint exists, and the restarted server holds
+// all of them.
+TEST(ServerTest, ShutdownAnswersEveryQueuedWriteBeforeTheCheckpoint) {
+  WipeDurable("SrvBurst");
+  const std::string checkpoint = DurableDir() + "/SrvBurst.isis";
+  constexpr int kClients = 4;
+  constexpr int kWrites = 8;  // kClients * kWrites musicians, one write each.
+  store::SyncGateEnv gate(store::FileEnv::Default());
+  isis::Mutex mu;
+  int answered = 0;
+  int ok = 0;
+  int after_checkpoint = 0;
+  std::string at_shutdown;
+  {
+    std::unique_ptr<Server> srv = OpenDurableOn(&gate, "SrvBurst");
+    std::vector<std::unique_ptr<LoopbackClient>> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.push_back(std::make_unique<LoopbackClient>(srv.get()));
+      ASSERT_TRUE(clients.back()->Connect("c" + std::to_string(c)).ok());
+    }
+    gate.Arm();
+    for (int i = 0; i < kWrites; ++i) {
+      for (int c = 0; c < kClients; ++c) {
+        const int m = c + kClients * i;
+        ASSERT_TRUE(
+            clients[static_cast<std::size_t>(c)]
+                ->CallAsync(MsgType::kAssign,
+                            JoinFields({"musicians",
+                                        "musician" + std::to_string(m),
+                                        "plays",
+                                        "inst" + std::to_string(m % 4)}),
+                            [&](const Frame& resp) {
+                              const bool late =
+                                  store::FileEnv::Default()->Exists(
+                                      checkpoint);
+                              isis::MutexLock lock(mu);
+                              ++answered;
+                              if (resp.type == MsgType::kOk) ++ok;
+                              if (late) ++after_checkpoint;
+                            })
+                .ok());
+      }
+    }
+    gate.AwaitHeld();
+    std::thread stopper([&srv] { srv->Shutdown(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate.Release();
+    stopper.join();
+    {
+      isis::MutexLock lock(mu);
+      EXPECT_EQ(answered, kClients * kWrites);
+      EXPECT_EQ(ok, kClients * kWrites);
+      EXPECT_EQ(after_checkpoint, 0);
+    }
+    at_shutdown = store::Save(srv->workspace());
+  }
+  std::unique_ptr<Server> srv = OpenScaled(2, 64, DurableDir(), "SrvBurst");
+  EXPECT_EQ(store::Save(srv->workspace()), at_shutdown);
+  LoopbackClient client(srv.get());
+  ASSERT_TRUE(client.Connect("t").ok());
+  for (int v = 0; v < 4; ++v) {
+    Result<std::vector<std::string>> players = client.Query(
+        "musicians", "e.plays = {inst" + std::to_string(v) + "}");
+    ASSERT_TRUE(players.ok());
+    for (int m = v; m < kClients * kWrites; m += 4) {
+      EXPECT_NE(std::find(players->begin(), players->end(),
+                          "musician" + std::to_string(m)),
+                players->end())
+          << "musician" << m << " lost its acked write";
+    }
+  }
+  srv->Shutdown();
+  WipeDurable("SrvBurst");
+}
+
+// The crash path with commits still queued: the log thread is parked in
+// an fsync while the server is destroyed without Shutdown(). The
+// destructor must join it -- writing and answering the queue -- and a
+// restart must hold every write that was acknowledged.
+TEST(ServerTest, CrashWithQueuedCommitsJoinsTheLogThreadAndRecovers) {
+  WipeDurable("SrvCrashQueued");
+  store::SyncGateEnv gate(store::FileEnv::Default());
+  constexpr int kWrites = 6;
+  isis::Mutex mu;
+  int answered = 0;
+  std::vector<int> acked;
+  {
+    std::unique_ptr<Server> srv = OpenDurableOn(&gate, "SrvCrashQueued");
+    LoopbackClient client(srv.get());
+    ASSERT_TRUE(client.Connect("t").ok());
+    gate.Arm();
+    for (int i = 0; i < kWrites; ++i) {
+      ASSERT_TRUE(
+          client
+              .CallAsync(MsgType::kAssign,
+                         JoinFields({"musicians",
+                                     "musician" + std::to_string(i), "plays",
+                                     "inst" + std::to_string(i % 4)}),
+                         [&, i](const Frame& resp) {
+                           isis::MutexLock lock(mu);
+                           ++answered;
+                           if (resp.type == MsgType::kOk) acked.push_back(i);
+                         })
+              .ok());
+    }
+    gate.AwaitHeld();  // The first commit is mid-fsync; the rest queue.
+    std::thread crash([&srv] { srv.reset(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate.Release();
+    crash.join();
+  }
+  {
+    isis::MutexLock lock(mu);
+    EXPECT_EQ(answered, kWrites) << "a queued write was never answered";
+    EXPECT_EQ(acked.size(), static_cast<std::size_t>(kWrites));
+  }
+  std::unique_ptr<Server> srv =
+      OpenScaled(2, 64, DurableDir(), "SrvCrashQueued");
+  LoopbackClient client(srv.get());
+  ASSERT_TRUE(client.Connect("t").ok());
+  for (int i : acked) {
+    Result<std::vector<std::string>> players = client.Query(
+        "musicians", "e.plays = {inst" + std::to_string(i % 4) + "}");
+    ASSERT_TRUE(players.ok());
+    EXPECT_NE(std::find(players->begin(), players->end(),
+                        "musician" + std::to_string(i)),
+              players->end())
+        << "acked write to musician" << i << " lost in the crash";
+  }
+  srv->Shutdown();
+  WipeDurable("SrvCrashQueued");
 }
 
 // --- Derived views on the durable write path. ---
